@@ -730,6 +730,69 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok() else EXIT_VIOLATION
 
 
+def _add_site_options(
+    parser: argparse.ArgumentParser,
+    hb_interval: float = 0.1,
+    suspect_after: float = 0.6,
+    requery_interval: float = 0.3,
+    trace_cap: Optional[int] = None,
+) -> None:
+    """Declare the flags ``serve``, ``cluster`` and ``soak`` share.
+
+    The defaults are the loopback-harness timing profile, which
+    ``cluster`` and ``soak`` spawn their sites with; ``serve`` passes
+    its own, slower, stand-alone profile and an explicit trace cap
+    (``None`` leaves each spawned site on its own default).
+    """
+    parser.add_argument(
+        "--hb-interval", type=float, default=hb_interval, dest="hb_interval"
+    )
+    parser.add_argument(
+        "--suspect-after", type=float, default=suspect_after, dest="suspect_after"
+    )
+    parser.add_argument(
+        "--requery-interval",
+        type=float,
+        default=requery_interval,
+        dest="requery_interval",
+    )
+    parser.add_argument(
+        "--codec",
+        choices=("json", "bin"),
+        default="json",
+        help="wire codec for outgoing peer frames (negotiated per "
+        "connection; json keeps tcpdump traffic readable)",
+    )
+    # No choices= on --presumption/--loop: unknown values must exit
+    # EXIT_CONFIG via LiveConfigError, not argparse's usage error.
+    parser.add_argument(
+        "--presumption",
+        default="none",
+        help="commit presumption: none (force everything), abort "
+        "(presumed abort), or commit (presumed commit)",
+    )
+    parser.add_argument(
+        "--loop",
+        default="asyncio",
+        help="event loop implementation: asyncio or uvloop (if installed)",
+    )
+    parser.add_argument(
+        "--ro",
+        default="",
+        metavar="ID,ID,...",
+        help="site ids that participate read-only (one-phase exit)",
+    )
+    parser.add_argument(
+        "--trace-cap",
+        type=int,
+        default=trace_cap,
+        dest="trace_cap",
+        metavar="N",
+        help="cap on trace entries written per site (drops are counted "
+        "and noted by the auditor)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -1091,15 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--data-dir", required=True, dest="data_dir")
     serve.add_argument(
-        "--hb-interval", type=float, default=0.25, dest="hb_interval"
-    )
-    serve.add_argument(
-        "--suspect-after", type=float, default=1.5, dest="suspect_after"
-    )
-    serve.add_argument(
-        "--requery-interval", type=float, default=1.0, dest="requery_interval"
-    )
-    serve.add_argument(
         "--termination-mode",
         choices=TERMINATION_MODES,
         default="standard",
@@ -1125,40 +1179,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos policy JSON (ChaosPolicy.save) shaping this site's "
         "inbound links, fsync latency, and clock skew",
     )
-    serve.add_argument(
-        "--codec",
-        choices=("json", "bin"),
-        default="json",
-        help="wire codec for outgoing peer frames (negotiated per "
-        "connection; json keeps tcpdump traffic readable)",
-    )
-    # No choices= on --presumption/--loop: unknown values must exit
-    # EXIT_CONFIG via LiveConfigError, not argparse's usage error.
-    serve.add_argument(
-        "--presumption",
-        default="none",
-        help="commit presumption: none (force everything), abort "
-        "(presumed abort), or commit (presumed commit)",
-    )
-    serve.add_argument(
-        "--loop",
-        default="asyncio",
-        help="event loop implementation: asyncio or uvloop (if installed)",
-    )
-    serve.add_argument(
-        "--ro",
-        default="",
-        metavar="ID,ID,...",
-        help="site ids that participate read-only (one-phase exit)",
-    )
-    serve.add_argument(
-        "--trace-cap",
-        type=int,
-        default=200_000,
-        dest="trace_cap",
-        metavar="N",
-        help="cap on trace entries written per site (drops are counted "
-        "and noted by the auditor)",
+    _add_site_options(
+        serve,
+        hb_interval=0.25,
+        suspect_after=1.5,
+        requery_interval=1.0,
+        trace_cap=200_000,
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -1223,51 +1249,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to FILE",
     )
     cluster.add_argument(
-        "--hb-interval", type=float, default=0.1, dest="hb_interval"
-    )
-    cluster.add_argument(
-        "--suspect-after", type=float, default=0.6, dest="suspect_after"
-    )
-    cluster.add_argument(
-        "--requery-interval", type=float, default=0.3, dest="requery_interval"
-    )
-    cluster.add_argument(
         "--termination-mode",
         choices=TERMINATION_MODES,
         default="standard",
         dest="termination",
     )
     cluster.add_argument("--timeout", type=float, default=30.0)
-    cluster.add_argument(
-        "--codec",
-        choices=("json", "bin"),
-        default="json",
-        help="wire codec every site uses for peer frames",
-    )
-    cluster.add_argument(
-        "--presumption",
-        default="none",
-        help="commit presumption every site runs under "
-        "(none, abort, or commit)",
-    )
-    cluster.add_argument(
-        "--loop",
-        default="asyncio",
-        help="event loop every site process runs (asyncio or uvloop)",
-    )
-    cluster.add_argument(
-        "--ro",
-        default="",
-        metavar="ID,ID,...",
-        help="site ids that participate read-only (one-phase exit)",
-    )
-    cluster.add_argument(
-        "--trace-cap",
-        type=int,
-        dest="trace_cap",
-        metavar="N",
-        help="per-site trace entry cap (default: site default)",
-    )
+    _add_site_options(cluster)
     cluster.set_defaults(func=_cmd_cluster)
 
     soak = sub.add_parser(
@@ -1318,46 +1306,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fsync_delay_ms",
         help="injected fsync latency for disk profiles (default 4.0)",
     )
-    soak.add_argument(
-        "--hb-interval", type=float, default=0.1, dest="hb_interval"
-    )
-    soak.add_argument(
-        "--suspect-after", type=float, default=0.6, dest="suspect_after"
-    )
-    soak.add_argument(
-        "--requery-interval", type=float, default=0.3, dest="requery_interval"
-    )
     soak.add_argument("--timeout", type=float, default=30.0)
-    soak.add_argument(
-        "--codec",
-        choices=("json", "bin"),
-        default="json",
-        help="wire codec every site uses for peer frames",
-    )
-    soak.add_argument(
-        "--presumption",
-        default="none",
-        help="commit presumption every site runs under "
-        "(none, abort, or commit)",
-    )
-    soak.add_argument(
-        "--loop",
-        default="asyncio",
-        help="event loop every site process runs (asyncio or uvloop)",
-    )
-    soak.add_argument(
-        "--ro",
-        default="",
-        metavar="ID,ID,...",
-        help="site ids that participate read-only (one-phase exit)",
-    )
-    soak.add_argument(
-        "--trace-cap",
-        type=int,
-        dest="trace_cap",
-        metavar="N",
-        help="per-site trace entry cap (default: site default)",
-    )
+    _add_site_options(soak)
     soak.add_argument(
         "--json-out",
         metavar="FILE",

@@ -47,13 +47,12 @@ import repro
 from repro.errors import (
     AtomicityViolationError,
     ClusterError,
-    LiveConfigError,
     LiveTimeoutError,
 )
 from repro.live import client
 from repro.live.chaos import ChaosPolicy, gray_link_policy
-from repro.live.node import LOOPS, PRESUMPTIONS
-from repro.live.wire_bin import CODEC_JSON, CODECS
+from repro.live.node import check_site_options
+from repro.live.wire_bin import CODEC_JSON
 from repro.types import Outcome, SiteId
 
 
@@ -104,27 +103,16 @@ class ClusterConfig:
         self.data_dir = Path(self.data_dir)
         if self.n_sites < 2:
             raise ClusterError("a live cluster needs at least 2 sites")
-        if self.codec not in CODECS:
-            raise ClusterError(
-                f"codec must be one of {', '.join(CODECS)}, got {self.codec!r}"
-            )
-        # Config mistakes exit with EXIT_CONFIG, not EXIT_TRANSPORT: an
-        # unknown presumption or loop silently defaulting would skew a
-        # whole benchmark sweep.
-        if self.presumption not in PRESUMPTIONS:
-            raise LiveConfigError(
-                f"presumption must be one of {', '.join(PRESUMPTIONS)}, "
-                f"got {self.presumption!r}"
-            )
-        if self.loop not in LOOPS:
-            raise LiveConfigError(
-                f"loop must be one of {', '.join(LOOPS)}, got {self.loop!r}"
-            )
-        self.ro_sites = tuple(sorted(SiteId(int(s)) for s in self.ro_sites))
-        if self.trace_cap is not None and self.trace_cap < 1:
-            raise LiveConfigError(
-                f"trace cap must be >= 1, got {self.trace_cap}"
-            )
+        # Config mistakes exit with EXIT_CONFIG (LiveConfigError), not
+        # EXIT_TRANSPORT, and are the same mistakes a site would refuse.
+        self.ro_sites = check_site_options(
+            self.codec,
+            self.presumption,
+            self.loop,
+            self.ro_sites,
+            self.n_sites,
+            self.trace_cap,
+        )
 
 
 def _free_ports(host: str, count: int) -> list[int]:

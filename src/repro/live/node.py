@@ -53,7 +53,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import LiveConfigError
 from repro.fsa.messages import EXTERNAL, Msg
@@ -111,6 +111,50 @@ METRICS_WRITE_INTERVAL = 0.25
 #: different bytes than the old one.
 _PLAIN_JSON_STR = re.compile(r"^[ !#-\[\]-~]*$").match
 _dumps_str = json.dumps
+
+
+def check_site_options(
+    codec: str,
+    presumption: str,
+    loop: str,
+    ro_sites: Iterable[int],
+    n_sites: int,
+    trace_cap: Optional[int],
+) -> tuple[SiteId, ...]:
+    """Validate the options every site of one cluster shares.
+
+    :class:`LiveConfig` (one site) and
+    :class:`~repro.live.cluster.ClusterConfig` (the harness spawning
+    them) both call this, so what one refuses the other refuses, and as
+    the same failure class: an unknown codec, presumption or loop
+    silently defaulting would skew a whole benchmark sweep.
+
+    Returns:
+        ``ro_sites`` normalized to a sorted tuple of site ids.
+
+    Raises:
+        LiveConfigError: On an unknown choice, a read-only site that is
+            not a participant, or a trace cap (``None`` = site default)
+            below 1.
+    """
+    for name, value, choices in (
+        ("codec", codec, CODECS),
+        ("presumption", presumption, PRESUMPTIONS),
+        ("loop", loop, LOOPS),
+    ):
+        if value not in choices:
+            raise LiveConfigError(
+                f"{name} must be one of {', '.join(choices)}, got {value!r}"
+            )
+    ro = tuple(sorted(SiteId(int(site)) for site in ro_sites))
+    for site in ro:
+        if not 1 <= site <= n_sites:
+            raise LiveConfigError(
+                f"read-only site {site} is not a participant (n_sites={n_sites})"
+            )
+    if trace_cap is not None and trace_cap < 1:
+        raise LiveConfigError(f"trace cap must be >= 1, got {trace_cap}")
+    return ro
 
 
 @dataclasses.dataclass
@@ -193,30 +237,14 @@ class LiveConfig:
         }
         if self.vote not in ("yes", "no"):
             raise LiveConfigError(f"vote must be 'yes' or 'no', got {self.vote!r}")
-        if self.codec not in CODECS:
-            raise LiveConfigError(
-                f"codec must be one of {', '.join(CODECS)}, got {self.codec!r}"
-            )
-        if self.presumption not in PRESUMPTIONS:
-            raise LiveConfigError(
-                f"presumption must be one of {', '.join(PRESUMPTIONS)}, "
-                f"got {self.presumption!r}"
-            )
-        if self.loop not in LOOPS:
-            raise LiveConfigError(
-                f"loop must be one of {', '.join(LOOPS)}, got {self.loop!r}"
-            )
-        self.ro_sites = tuple(sorted(SiteId(int(s)) for s in self.ro_sites))
-        for ro in self.ro_sites:
-            if not 1 <= int(ro) <= self.n_sites:
-                raise LiveConfigError(
-                    f"read-only site {int(ro)} is not a participant "
-                    f"(n_sites={self.n_sites})"
-                )
-        if self.trace_max_entries < 1:
-            raise LiveConfigError(
-                f"trace cap must be >= 1, got {self.trace_max_entries}"
-            )
+        self.ro_sites = check_site_options(
+            self.codec,
+            self.presumption,
+            self.loop,
+            self.ro_sites,
+            self.n_sites,
+            self.trace_max_entries,
+        )
         if self.max_inflight < 1:
             raise LiveConfigError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"

@@ -19,12 +19,15 @@ Body layout (after the length prefix)::
     ...          kind-specific tail
 
 Tails: ``hb`` carries a ``u32`` site id; ``external`` carries its kind
-as a string; ``payload`` carries a tagged record per runtime payload
-dataclass (``u8`` tag, then fixed-width ints, outcome bytes, and
-strings).  Strings use a one-byte token into :data:`INTERNED` — the
-closed vocabulary of protocol message kinds and state names — with
-token ``0`` escaping to ``u16`` length + UTF-8 for anything else, so
-the codec never constrains what a spec may name.
+as a string; ``payload`` carries a tagged record derived from
+:data:`repro.live.wire.PAYLOADS` — a ``u8`` tag (the row's position,
+from 1) and the row's fields in order: ``u32`` big-endian, ``outcome``
+one code byte, ``flag`` the high bit of the outcome byte before it,
+``str`` a one-byte token into :data:`INTERNED` — the closed vocabulary
+of protocol message kinds and state names — with token ``0`` escaping
+to ``u16`` length + UTF-8 for anything else, so the codec never
+constrains what a spec may name.  Nothing here names a payload's
+fields; framing (length prefix, buffering) is ``wire``'s, shared.
 
 Decoding is strict and zero-copy (``memoryview`` slices, no
 intermediate buffers): unknown kinds, tags, tokens or flag bits,
@@ -42,14 +45,26 @@ import struct
 from typing import Any, Callable, Union
 
 from repro.errors import FrameError
-from repro.live.wire import MAX_FRAME, FrameDecoder, encode_frame
+from repro.live.wire import (
+    OUTCOME,
+    PAYLOADS,
+    STR,
+    U32,
+    FrameBuffer,
+    FrameDecoder,
+    check_field,
+    check_uint,
+    decode_single_frame,
+    encode_frame,
+    frame_body,
+    payload_row,
+)
 
 #: Codec names as they appear in ``hello`` frames and ``--codec`` flags.
 CODEC_JSON = "json"
 CODEC_BIN = "bin"
 CODECS = (CODEC_JSON, CODEC_BIN)
 
-_LENGTH = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
@@ -79,7 +94,7 @@ INTERNED = (
     "prepare",
     "commit",
     "abort",
-    # Appended entries only (tokens are pinned by differential tests
+    # Appended entries only (tokens are pinned by golden-bytes tests
     # against recorded frames): the read-only vote/state of the
     # one-phase exit.
     "ro",
@@ -98,158 +113,50 @@ _OPTIONAL = frozenset({"sid", "pid", "dst_boot"})
 _NO_OPTIONAL: frozenset = frozenset()
 
 
-# ----------------------------------------------------------------------
-# Field packers
-# ----------------------------------------------------------------------
-
-
-def _require_int(value: Any, field: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FrameError(
-            f"field {field!r} must be an int for the binary codec, "
-            f"got {type(value).__name__}"
-        )
-    return value
-
-
-def _pack_u64(out: bytearray, value: Any, field: str) -> None:
-    try:
-        out += _U64.pack(_require_int(value, field))
-    except struct.error as error:
-        raise FrameError(f"field {field!r} out of u64 range: {value}") from error
-
-
-def _pack_u32(out: bytearray, value: Any, field: str) -> None:
-    try:
-        out += _U32.pack(_require_int(value, field))
-    except struct.error as error:
-        raise FrameError(f"field {field!r} out of u32 range: {value}") from error
-
-
-def _pack_str(out: bytearray, value: Any, field: str) -> None:
-    if not isinstance(value, str):
-        raise FrameError(
-            f"field {field!r} must be a string for the binary codec, "
-            f"got {type(value).__name__}"
-        )
-    token = _STR_TOKEN.get(value)
-    if token is not None:
-        out.append(token)
-        return
-    data = value.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise FrameError(f"field {field!r} string of {len(data)} bytes too long")
-    out.append(0)
-    out += _U16.pack(len(data))
-    out += data
-
-
-def _pack_outcome(out: bytearray, value: Any, field: str, extra: int = 0) -> None:
-    code = _OUTCOME_CODE.get(value)
-    if code is None:
-        raise FrameError(f"field {field!r} is not an outcome: {value!r}")
-    out.append(code | extra)
-
-
-# ----------------------------------------------------------------------
-# Payload record codecs (tag = position in wire.py's codec tables)
-# ----------------------------------------------------------------------
-
-
-def _enc_proto(out: bytearray, d: dict) -> None:
-    out.append(1)
-    _pack_str(out, d["kind"], "kind")
-
-
-def _enc_move_to(out: bytearray, d: dict) -> None:
-    out.append(2)
-    _pack_u32(out, d["backup"], "backup")
-    _pack_u32(out, d["round"], "round")
-    _pack_str(out, d["state"], "state")
-
-
-def _enc_ack(out: bytearray, d: dict) -> None:
-    out.append(3)
-    _pack_u32(out, d["round"], "round")
-
-
-def _enc_decision(out: bytearray, d: dict) -> None:
-    out.append(4)
-    _pack_outcome(out, d["outcome"], "outcome")
-    _pack_u32(out, d["round"], "round")
-
-
-def _enc_blocked(out: bytearray, d: dict) -> None:
-    out.append(5)
-    _pack_u32(out, d["round"], "round")
-
-
-def _enc_state_query(out: bytearray, d: dict) -> None:
-    out.append(6)
-    _pack_u32(out, d["backup"], "backup")
-    _pack_u32(out, d["round"], "round")
-
-
-def _enc_state_reply(out: bytearray, d: dict) -> None:
-    out.append(7)
-    _pack_outcome(out, d["outcome"], "outcome")
-    _pack_u32(out, d["round"], "round")
-    _pack_str(out, d["state"], "state")
-
-
-def _enc_outcome_query(out: bytearray, d: dict) -> None:
-    out.append(8)
-
-
-def _enc_outcome_reply(out: bytearray, d: dict) -> None:
-    in_doubt = d["in_doubt"]
-    if not isinstance(in_doubt, bool):
-        raise FrameError(
-            f"field 'in_doubt' must be a bool for the binary codec, "
-            f"got {type(in_doubt).__name__}"
-        )
-    out.append(9)
-    _pack_outcome(out, d["outcome"], "outcome", extra=0x80 if in_doubt else 0)
-
-
-#: tag name -> (exact key set, encoder).
-_PAYLOAD_ENC: dict[str, tuple[frozenset, Callable[[bytearray, dict], None]]] = {
-    "proto": (frozenset({"p", "kind"}), _enc_proto),
-    "term-move-to": (frozenset({"p", "backup", "state", "round"}), _enc_move_to),
-    "term-ack": (frozenset({"p", "round"}), _enc_ack),
-    "term-decision": (frozenset({"p", "outcome", "round"}), _enc_decision),
-    "term-blocked": (frozenset({"p", "round"}), _enc_blocked),
-    "term-state-query": (frozenset({"p", "backup", "round"}), _enc_state_query),
-    "term-state-reply": (
-        frozenset({"p", "state", "outcome", "round"}),
-        _enc_state_reply,
-    ),
-    "outcome-query": (frozenset({"p"}), _enc_outcome_query),
-    "outcome-reply": (frozenset({"p", "outcome", "in_doubt"}), _enc_outcome_reply),
-}
-
-
-def _encode_payload_dict(out: bytearray, data: Any) -> None:
-    if not isinstance(data, dict):
-        raise FrameError(
-            f"payload body must be a dict, got {type(data).__name__}"
-        )
-    tag = data.get("p")
-    spec = _PAYLOAD_ENC.get(tag)
-    if spec is None:
-        raise FrameError(f"unknown payload tag {tag!r}")
-    expected, encoder = spec
-    if data.keys() != expected:
-        raise FrameError(
-            f"payload {tag!r} keys {sorted(data)} do not match the "
-            f"binary schema {sorted(expected)}"
-        )
-    encoder(out, data)
+#: Payload records, derived from ``wire.PAYLOADS``:
+#: binary tag -> (JSON tag, exact key set, fields); tag 0 unused.
+_RECORDS: tuple = (None,) + tuple(
+    (name, frozenset({"p", *(key for key, _, _ in fields)}), fields)
+    for name, _, fields in PAYLOADS
+)
 
 
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
+
+
+def _pack_str(out: bytearray, value: str) -> None:
+    """Pack a string already passed by ``check_field(STR, ...)``."""
+    token = _STR_TOKEN.get(value)
+    if token is not None:
+        out.append(token)
+        return
+    data = value.encode("utf-8")
+    out.append(0)
+    out += _U16.pack(len(data))
+    out += data
+
+
+def _pack_record(out: bytearray, data: Any) -> None:
+    tag = payload_row(data)[0]
+    name, expected, fields = _RECORDS[tag]
+    if data.keys() != expected:
+        raise FrameError(
+            f"payload {name!r} keys {sorted(data)} do not match the "
+            f"binary schema {sorted(expected)}"
+        )
+    out.append(tag)
+    for key, _, kind in fields:
+        value = check_field(kind, data[key], key)
+        if kind == STR:
+            _pack_str(out, value)
+        elif kind == U32:
+            out += _U32.pack(value)
+        elif kind == OUTCOME:
+            out.append(_OUTCOME_CODE[value])
+        elif value:  # FLAG: the high bit of the outcome byte before it.
+            out[-1] |= 0x80
 
 
 def _encode_head(
@@ -267,16 +174,14 @@ def _encode_head(
             f"frame keys {sorted(extra)} are not representable in the "
             "binary codec"
         )
+    body = bytearray((kind, 0))
     flags = 0
-    ints = bytearray()
     for bit, field in _FLAG_FIELDS:
         value = frame.get(field)
-        if value is None:
-            continue
-        flags |= bit
-        _pack_u64(ints, value, field)
-    body = bytearray((kind, flags))
-    body += ints
+        if value is not None:
+            flags |= bit
+            body += _U64.pack(check_uint(value, field, 64))
+    body[1] = flags
     return body
 
 
@@ -292,21 +197,19 @@ def encode_frame_bin(frame: dict[str, Any]) -> bytes:
     t = frame.get("t")
     if t == "payload":
         body = _encode_head(_K_PAYLOAD, frame, _PAYLOAD_REQUIRED, _OPTIONAL)
-        _encode_payload_dict(body, frame["d"])
+        _pack_record(body, frame["d"])
     elif t == "hb":
         body = _encode_head(_K_HB, frame, _HB_REQUIRED, _NO_OPTIONAL)
-        _pack_u32(body, frame["site"], "site")
+        body += _U32.pack(check_uint(frame["site"], "site", 32))
     elif t == "external":
         body = _encode_head(_K_EXTERNAL, frame, _EXTERNAL_REQUIRED, _OPTIONAL)
-        _pack_str(body, frame["kind"], "kind")
+        _pack_str(body, check_field(STR, frame["kind"], "kind"))
     else:
         raise FrameError(
             f"frame type {t!r} has no binary encoding (the binary codec "
             "carries peer-link frames only)"
         )
-    if len(body) > MAX_FRAME:
-        raise FrameError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    return _LENGTH.pack(len(body)) + bytes(body)
+    return frame_body(bytes(body))
 
 
 # ----------------------------------------------------------------------
@@ -344,90 +247,39 @@ def _unpack_str(view: memoryview, offset: int, field: str) -> tuple[str, int]:
     return value, end
 
 
-def _unpack_outcome(
-    view: memoryview, offset: int, field: str
-) -> tuple[str, bool, int]:
+def _unpack_outcome(view: memoryview, offset: int, field: str) -> tuple[str, int]:
     if offset >= len(view):
         raise FrameError(f"binary frame truncated in field {field!r}")
     byte = view[offset]
     code = byte & 0x7F
     if not 1 <= code < len(_CODE_OUTCOME):
         raise FrameError(f"field {field!r} has no outcome for byte {byte:#x}")
-    return _CODE_OUTCOME[code], bool(byte & 0x80), offset + 1
+    return _CODE_OUTCOME[code], offset + 1
 
 
-def _dec_proto(view: memoryview, offset: int) -> tuple[dict, int]:
-    kind, offset = _unpack_str(view, offset, "kind")
-    return {"p": "proto", "kind": kind}, offset
-
-
-def _dec_move_to(view: memoryview, offset: int) -> tuple[dict, int]:
-    backup, offset = _unpack_u32(view, offset, "backup")
-    round_no, offset = _unpack_u32(view, offset, "round")
-    state, offset = _unpack_str(view, offset, "state")
-    return (
-        {"p": "term-move-to", "backup": backup, "state": state, "round": round_no},
-        offset,
-    )
-
-
-def _dec_ack(view: memoryview, offset: int) -> tuple[dict, int]:
-    round_no, offset = _unpack_u32(view, offset, "round")
-    return {"p": "term-ack", "round": round_no}, offset
-
-
-def _dec_decision(view: memoryview, offset: int) -> tuple[dict, int]:
-    outcome, extra, offset = _unpack_outcome(view, offset, "outcome")
-    if extra:
-        raise FrameError("term-decision outcome byte has stray high bit")
-    round_no, offset = _unpack_u32(view, offset, "round")
-    return {"p": "term-decision", "outcome": outcome, "round": round_no}, offset
-
-
-def _dec_blocked(view: memoryview, offset: int) -> tuple[dict, int]:
-    round_no, offset = _unpack_u32(view, offset, "round")
-    return {"p": "term-blocked", "round": round_no}, offset
-
-
-def _dec_state_query(view: memoryview, offset: int) -> tuple[dict, int]:
-    backup, offset = _unpack_u32(view, offset, "backup")
-    round_no, offset = _unpack_u32(view, offset, "round")
-    return {"p": "term-state-query", "backup": backup, "round": round_no}, offset
-
-
-def _dec_state_reply(view: memoryview, offset: int) -> tuple[dict, int]:
-    outcome, extra, offset = _unpack_outcome(view, offset, "outcome")
-    if extra:
-        raise FrameError("term-state-reply outcome byte has stray high bit")
-    round_no, offset = _unpack_u32(view, offset, "round")
-    state, offset = _unpack_str(view, offset, "state")
-    return (
-        {"p": "term-state-reply", "state": state, "outcome": outcome, "round": round_no},
-        offset,
-    )
-
-
-def _dec_outcome_query(view: memoryview, offset: int) -> tuple[dict, int]:
-    return {"p": "outcome-query"}, offset
-
-
-def _dec_outcome_reply(view: memoryview, offset: int) -> tuple[dict, int]:
-    outcome, in_doubt, offset = _unpack_outcome(view, offset, "outcome")
-    return {"p": "outcome-reply", "outcome": outcome, "in_doubt": in_doubt}, offset
-
-
-_PAYLOAD_DEC: tuple = (
-    None,
-    _dec_proto,
-    _dec_move_to,
-    _dec_ack,
-    _dec_decision,
-    _dec_blocked,
-    _dec_state_query,
-    _dec_state_reply,
-    _dec_outcome_query,
-    _dec_outcome_reply,
-)
+def _unpack_record(view: memoryview, offset: int) -> tuple[dict, int]:
+    if offset >= len(view):
+        raise FrameError("binary payload frame has no payload record")
+    tag = view[offset]
+    offset += 1
+    if not 1 <= tag < len(_RECORDS):
+        raise FrameError(f"unknown binary payload tag {tag}")
+    name, _, fields = _RECORDS[tag]
+    data: dict[str, Any] = {"p": name}
+    high = 0  # An outcome byte's high bit: only a flag right after may claim it.
+    for key, _, kind in fields:
+        if kind == STR:
+            data[key], offset = _unpack_str(view, offset, key)
+        elif kind == U32:
+            data[key], offset = _unpack_u32(view, offset, key)
+        elif kind == OUTCOME:
+            data[key], offset = _unpack_outcome(view, offset, key)
+            high |= view[offset - 1] & 0x80
+        else:  # FLAG
+            data[key], high = bool(high), 0
+    if high:
+        raise FrameError(f"{name} outcome byte has stray high bit")
+    return data, offset
 
 
 def _decode_body(view: memoryview) -> dict[str, Any]:
@@ -449,13 +301,7 @@ def _decode_body(view: memoryview) -> dict[str, Any]:
         offset += 8
     if kind == _K_PAYLOAD:
         frame: dict[str, Any] = {"t": "payload", **head}
-        if offset >= len(view):
-            raise FrameError("binary payload frame has no payload record")
-        tag = view[offset]
-        offset += 1
-        if not 1 <= tag < len(_PAYLOAD_DEC):
-            raise FrameError(f"unknown binary payload tag {tag}")
-        frame["d"], offset = _PAYLOAD_DEC[tag](view, offset)
+        frame["d"], offset = _unpack_record(view, offset)
     elif kind == _K_HB:
         site, offset = _unpack_u32(view, offset, "site")
         frame = {"t": "hb", "site": site, **head}
@@ -471,7 +317,7 @@ def _decode_body(view: memoryview) -> dict[str, Any]:
     return frame
 
 
-class BinFrameDecoder:
+class BinFrameDecoder(FrameBuffer):
     """Incremental binary-frame decoder, drop-in for ``FrameDecoder``.
 
     Same feed/pending/hwm surface as the JSON decoder so the transport's
@@ -480,16 +326,6 @@ class BinFrameDecoder:
     first.
     """
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        #: Largest buffered byte count ever observed (monotonic).
-        self.hwm = 0
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered toward a not-yet-complete frame."""
-        return len(self._buf)
-
     def feed(self, data: bytes) -> list[dict[str, Any]]:
         """Append bytes; return every frame completed by them, in order.
 
@@ -497,34 +333,7 @@ class BinFrameDecoder:
             FrameError: On a zero-length or oversized length prefix, or
                 a body the binary schema rejects.
         """
-        buf = self._buf
-        buf += data
-        if len(buf) > self.hwm:
-            self.hwm = len(buf)
-        frames: list[dict[str, Any]] = []
-        offset = 0
-        view = memoryview(buf)
-        try:
-            while len(buf) - offset >= _LENGTH.size:
-                (length,) = _LENGTH.unpack_from(view, offset)
-                if length == 0:
-                    raise FrameError("zero-length frame is malformed")
-                if length > MAX_FRAME:
-                    raise FrameError(f"length prefix {length} exceeds MAX_FRAME")
-                end = offset + _LENGTH.size + length
-                if len(buf) < end:
-                    break
-                body = view[offset + _LENGTH.size : end]
-                try:
-                    frames.append(_decode_body(body))
-                finally:
-                    body.release()
-                offset = end
-        finally:
-            view.release()
-            if offset:
-                del buf[:offset]
-        return frames
+        return self._feed(data, _decode_body)
 
 
 def decode_frame_bin_bytes(data: bytes) -> tuple[dict[str, Any], bytes]:
@@ -535,20 +344,7 @@ def decode_frame_bin_bytes(data: bytes) -> tuple[dict[str, Any], bytes]:
     Raises:
         FrameError: On truncation or a malformed body.
     """
-    if len(data) < _LENGTH.size:
-        raise FrameError("buffer shorter than a length prefix")
-    (length,) = _LENGTH.unpack_from(data, 0)
-    if length == 0:
-        raise FrameError("zero-length frame is malformed")
-    if length > MAX_FRAME:
-        raise FrameError(f"length prefix {length} exceeds MAX_FRAME")
-    end = _LENGTH.size + length
-    if len(data) < end:
-        raise FrameError(
-            f"truncated frame ({len(data) - _LENGTH.size}/{length} bytes)"
-        )
-    frame = _decode_body(memoryview(data)[_LENGTH.size : end])
-    return frame, data[end:]
+    return decode_single_frame(data, _decode_body)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 
 from repro.errors import FrameError
 from repro.live.wire import (
+    PAYLOADS,
     FrameDecoder,
     decode_frame_bytes,
     decode_payload,
@@ -158,6 +159,54 @@ class TestPayloadRoundTrip:
         # their sorted-key JSON form.
         frame = {"t": "payload", "txn": txn, "d": encode_payload(ProtoMsg(kind))}
         assert len(encode_frame_bin(frame)) < len(encode_frame(frame))
+
+
+# ----------------------------------------------------------------------
+# One schema: what one codec accepts, the other accepts
+# ----------------------------------------------------------------------
+
+#: Values some kind admits, and values no kind does.
+_VALID = {
+    "u32": rounds,
+    "str": names,
+    "outcome": outcomes.map(lambda outcome: outcome.value),
+    "flag": st.booleans(),
+}
+_WILD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**33), max_value=2**33),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.lists(st.integers(0, 9), max_size=2),
+)
+
+
+@st.composite
+def payload_dicts(draw):
+    """A payload dict with the right keys and anything for values."""
+    tag, _, fields = draw(st.sampled_from(PAYLOADS))
+    data = {"p": tag}
+    for key, _, kind in fields:
+        data[key] = draw(st.one_of(_VALID[kind], _WILD))
+    return data
+
+
+def _accepted(decode):
+    try:
+        return decode()
+    except FrameError:
+        return None
+
+
+class TestOneSchema:
+    @given(data=payload_dicts(), txn=txns)
+    @settings(max_examples=400, deadline=None)
+    def test_a_dict_one_codec_accepts_the_other_accepts(self, data, txn):
+        frame = {"t": "payload", "txn": txn, "d": data}
+        via_json = _accepted(lambda: decode_payload(json_roundtrip(frame)["d"]))
+        via_bin = _accepted(lambda: decode_payload(bin_roundtrip(frame)["d"]))
+        assert via_json == via_bin
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,12 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from pathlib import Path
 
 import pytest
 
 from repro.errors import FrameError
+from repro.live import wire
 from repro.live.wire import (
     MAX_FRAME,
     FrameDecoder,
@@ -20,6 +22,13 @@ from repro.live.wire import (
     stamp_trace_context,
     trace_context,
 )
+from repro.live.wire_bin import (
+    INTERNED,
+    BinFrameDecoder,
+    decode_frame_bin_bytes,
+    encode_frame_bin,
+)
+from repro.runtime import messages
 from repro.runtime.messages import (
     OutcomeQuery,
     OutcomeReply,
@@ -234,6 +243,177 @@ class TestPayloadCodec:
     def test_outcome_reply_in_doubt_defaults_false(self):
         decoded = decode_payload({"p": "outcome-reply", "outcome": "commit"})
         assert decoded == OutcomeReply(Outcome.COMMIT, recovered_in_doubt=False)
+
+
+def _stamped(payload):
+    """A fully stamped peer frame: txn, sid, pid and dst_boot all set."""
+    frame = stamp_trace_context(
+        {"t": "payload", "txn": 0x0102030405060708, "d": encode_payload(payload)},
+        1_002_000_007,
+        3_001_000_001,
+    )
+    frame["dst_boot"] = 5
+    return frame
+
+
+_STAMP_JSON = (
+    ',"dst_boot":5,"pid":3001000001,"sid":1002000007,'
+    '"t":"payload","txn":72623859790382856}'
+)
+_STAMP_BIN = (
+    "020f" "0102030405060708" "000000003bb94e87" "00000000b2dfa041"
+    "0000000000000005"
+)
+
+#: (frame, JSON body, binary frame hex) recorded from the encoders as
+#: they stood before the codecs were derived from one table.  Payload
+#: rows are in binary-tag order (1..9).
+GOLDEN = [
+    (
+        _stamped(ProtoMsg("prepare")),
+        '{"d":{"kind":"prepare","p":"proto"}' + _STAMP_JSON,
+        "00000024" + _STAMP_BIN + "010b",
+    ),
+    (
+        _stamped(TermMoveTo(SiteId(2), "p", 3)),
+        '{"d":{"backup":2,"p":"term-move-to","round":3,"state":"p"}' + _STAMP_JSON,
+        "0000002c" + _STAMP_BIN + "02" "00000002" "00000003" "03",
+    ),
+    (
+        _stamped(TermAck(3)),
+        '{"d":{"p":"term-ack","round":3}' + _STAMP_JSON,
+        "00000027" + _STAMP_BIN + "03" "00000003",
+    ),
+    (
+        _stamped(TermDecision(Outcome.COMMIT, 1)),
+        '{"d":{"outcome":"commit","p":"term-decision","round":1}' + _STAMP_JSON,
+        "00000028" + _STAMP_BIN + "04" "01" "00000001",
+    ),
+    (
+        _stamped(TermBlocked(2)),
+        '{"d":{"p":"term-blocked","round":2}' + _STAMP_JSON,
+        "00000027" + _STAMP_BIN + "05" "00000002",
+    ),
+    (
+        _stamped(TermStateQuery(SiteId(3), 4)),
+        '{"d":{"backup":3,"p":"term-state-query","round":4}' + _STAMP_JSON,
+        "0000002b" + _STAMP_BIN + "06" "00000003" "00000004",
+    ),
+    (
+        _stamped(TermStateReply("w", Outcome.UNDECIDED, 4)),
+        '{"d":{"outcome":"undecided","p":"term-state-reply","round":4,"state":"w"}'
+        + _STAMP_JSON,
+        "00000029" + _STAMP_BIN + "07" "03" "00000004" "02",
+    ),
+    (
+        _stamped(OutcomeQuery()),
+        '{"d":{"p":"outcome-query"}' + _STAMP_JSON,
+        "00000023" + _STAMP_BIN + "08",
+    ),
+    (
+        _stamped(OutcomeReply(Outcome.ABORT, recovered_in_doubt=True)),
+        '{"d":{"in_doubt":true,"outcome":"abort","p":"outcome-reply"}' + _STAMP_JSON,
+        "00000024" + _STAMP_BIN + "09" "82",
+    ),
+    ({"t": "hb", "site": 3}, '{"site":3,"t":"hb"}', "00000006" "0100" "00000003"),
+    (
+        stamp_trace_context({"t": "external", "txn": 7, "kind": "request"}, 9),
+        '{"kind":"request","sid":9,"t":"external","txn":7}',
+        "00000013" "0303" "0000000000000007" "0000000000000009" "06",
+    ),
+    (
+        # A name outside INTERNED takes the literal escape: 0, u16 length, UTF-8.
+        {"t": "external", "txn": 7, "kind": "zap!"},
+        '{"kind":"zap!","t":"external","txn":7}',
+        "00000011" "0301" "0000000000000007" "00" "0004" "7a617021",
+    ),
+]
+
+
+def _golden_id(case):
+    frame = case[0]
+    return frame["d"]["p"] if frame["t"] == "payload" else frame["t"]
+
+
+class TestGoldenWireBytes:
+    """The layout itself, pinned byte for byte.
+
+    Every other wire test is a round trip or a cross-codec equivalence,
+    which a change that moves a tag, a field or an ``INTERNED`` token in
+    encoder and decoder alike would pass.
+    """
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
+    def test_json_bytes(self, case):
+        frame, body, _ = case
+        golden = struct.pack(">I", len(body)) + body.encode("ascii")
+        assert encode_frame(frame) == golden
+        assert decode_frame_bytes(golden) == (frame, b"")
+        assert FrameDecoder().feed(golden) == [frame]
+        assert _read(golden) == frame
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
+    def test_bin_bytes(self, case):
+        frame, _, hexed = case
+        golden = bytes.fromhex(hexed)
+        assert encode_frame_bin(frame) == golden
+        assert decode_frame_bin_bytes(golden) == (frame, b"")
+        assert BinFrameDecoder().feed(golden) == [frame]
+
+    def test_interned_tokens_are_pinned(self):
+        # Tokens are positions: INTERNED only ever grows at the end.
+        assert INTERNED == (
+            "q", "w", "p", "a", "c", "request", "xact", "yes", "no", "ack",
+            "prepare", "commit", "abort", "ro", "r",
+        )
+
+    def test_every_message_dataclass_has_exactly_one_row(self):
+        declared = {
+            cls
+            for cls in vars(messages).values()
+            if isinstance(cls, type) and cls.__module__ == messages.__name__
+        }
+        rows = [cls for _, cls, _ in wire.PAYLOADS]
+        assert len(rows) == len(set(rows)) == 9
+        assert set(rows) == declared
+        tags = [tag for tag, _, _ in wire.PAYLOADS]
+        assert len(set(tags)) == len(tags)
+
+    def test_binary_tags_are_row_positions(self):
+        # Row position + 1 is the binary tag: dense 1..9, in GOLDEN order.
+        record_tag_at = 4 + len(bytes.fromhex(_STAMP_BIN))
+        for position, (row, case) in enumerate(zip(wire.PAYLOADS, GOLDEN), start=1):
+            tag, cls, _ = row
+            frame, _, hexed = case
+            assert frame["d"]["p"] == tag
+            assert type(decode_payload(frame["d"])) is cls
+            assert bytes.fromhex(hexed)[record_tag_at] == position
+
+    def test_a_flag_rides_the_outcome_byte_before_it(self):
+        # The binary layout packs a flag into the high bit of the
+        # preceding outcome byte; a row that breaks the pairing would
+        # corrupt whatever field came before.
+        for tag, _, fields in wire.PAYLOADS:
+            kinds = [kind for _, _, kind in fields]
+            for index, kind in enumerate(kinds):
+                assert kind in ("u32", "str", "outcome", "flag"), tag
+                if kind == "flag":
+                    assert index > 0 and kinds[index - 1] == "outcome", tag
+
+
+class TestSchemaDocs:
+    def test_live_md_carries_the_table_rendered_from_payloads(self):
+        # docs/LIVE.md documents the layout per tag; render the same
+        # table from PAYLOADS so the doc cannot rot.
+        rows = [
+            "| tag | JSON `p` | dataclass | fields, in binary order |",
+            "| --- | --- | --- | --- |",
+        ]
+        for tag, (name, cls, fields) in enumerate(wire.PAYLOADS, start=1):
+            shown = ", ".join(f"`{key}` {kind}" for key, _, kind in fields)
+            rows.append(f"| {tag} | `{name}` | `{cls.__name__}` | {shown or '—'} |")
+        doc = Path(__file__).parents[2] / "docs" / "LIVE.md"
+        assert "\n".join(rows) in doc.read_text(encoding="utf-8")
 
 
 class TestTraceContext:

@@ -390,6 +390,27 @@ class TestClusterConfigValidation:
         with pytest.raises(LiveConfigError):
             self._config(trace_cap=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"codec": "xml"},
+            {"presumption": "always"},
+            {"loop": "twisted"},
+            {"ro_sites": (9,)},
+            {"trace_cap": 0},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_every_bad_site_option_is_a_config_exit(self, bad):
+        # One validator behind LiveConfig and ClusterConfig: the harness
+        # refuses what a site would, and as EXIT_CONFIG (a bad codec
+        # used to surface as ClusterError -> EXIT_TRANSPORT).
+        from repro.errors import EXIT_CONFIG, exit_code
+
+        with pytest.raises(LiveConfigError) as caught:
+            self._config(**bad)
+        assert exit_code(caught.value) == EXIT_CONFIG
+
     def test_soak_config_threads_validation(self):
         from repro.live.soak import SoakConfig, run_soak
 

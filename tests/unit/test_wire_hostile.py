@@ -21,6 +21,7 @@ from repro.live.wire import (
     MAX_FRAME,
     FrameDecoder,
     decode_frame_bytes,
+    decode_payload,
     encode_frame,
     encode_payload,
     read_frame,
@@ -65,6 +66,26 @@ def read_one(data: bytes):
         return await read_frame(reader)
 
     return asyncio.run(go())
+
+
+#: Every decoder entry point, by codec, as "bytes in, first frame out".
+#: The framing rules and the body checks are shared, so each hostile
+#: input must fail the same way whichever door it comes through.
+JSON_ENTRY_POINTS = {
+    "read_frame": read_one,
+    "FrameDecoder.feed": lambda data: FrameDecoder().feed(data)[0],
+    "decode_frame_bytes": lambda data: decode_frame_bytes(data)[0],
+}
+BIN_ENTRY_POINTS = {
+    "BinFrameDecoder.feed": lambda data: BinFrameDecoder().feed(data)[0],
+    "decode_frame_bin_bytes": lambda data: decode_frame_bin_bytes(data)[0],
+}
+json_entry = pytest.mark.parametrize(
+    "decode", JSON_ENTRY_POINTS.values(), ids=JSON_ENTRY_POINTS.keys()
+)
+bin_entry = pytest.mark.parametrize(
+    "decode", BIN_ENTRY_POINTS.values(), ids=BIN_ENTRY_POINTS.keys()
+)
 
 
 def bin_body(frame) -> bytearray:
@@ -238,67 +259,149 @@ class TestReconnectRedelivery:
 # ----------------------------------------------------------------------
 
 
+@bin_entry
 class TestHostileBodies:
-    def test_unknown_frame_kind(self):
+    def test_unknown_frame_kind(self, decode):
         with pytest.raises(FrameError, match="kind"):
-            decode_frame_bin_bytes(reframe(b"\x09\x00"))
+            decode(reframe(b"\x09\x00"))
 
-    def test_unknown_flag_bits(self):
+    def test_unknown_flag_bits(self, decode):
         body = bin_body(HB_FRAME)
         body[1] |= 0x40
         with pytest.raises(FrameError, match="flag"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_unknown_payload_tag(self):
+    def test_unknown_payload_tag(self, decode):
         body = bin_body(MOVE_FRAME)
         body[10] = 0x63  # tag byte sits after kind+flags+txn(u64)
         with pytest.raises(FrameError, match="payload tag"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_unknown_interned_token(self):
+    def test_unknown_interned_token(self, decode):
         body = bin_body({"t": "payload", "txn": 1, "d": encode_payload(ProtoMsg("xact"))})
         body[-1] = 0xEE
         with pytest.raises(FrameError, match="token"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_bad_outcome_byte(self):
+    def test_bad_outcome_byte(self, decode):
         frame = {"t": "payload", "txn": 1, "d": encode_payload(TermStateReply("w", Outcome.ABORT, 0))}
         body = bin_body(frame)
         body[11] = 0x7F  # outcome byte right after the payload tag
         with pytest.raises(FrameError, match="outcome"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_stray_high_bit_on_decision_outcome(self):
+    def test_stray_high_bit_on_decision_outcome(self, decode):
         from repro.runtime.messages import TermDecision
 
         frame = {"t": "payload", "txn": 1, "d": encode_payload(TermDecision(Outcome.COMMIT, 0))}
         body = bin_body(frame)
         body[11] |= 0x80  # in_doubt bit is outcome-reply-only
         with pytest.raises(FrameError, match="high bit"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_invalid_utf8_in_literal_string(self):
+    def test_invalid_utf8_in_literal_string(self, decode):
         body = bytearray((2, 0))  # payload frame, no header ints
         body.append(1)  # proto tag
         body.append(0)  # literal string escape
         body += struct.pack(">H", 2) + b"\xff\xfe"
         with pytest.raises(FrameError, match="UTF-8"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_trailing_garbage_rejected(self):
+    def test_trailing_garbage_rejected(self, decode):
         body = bin_body(HB_FRAME) + b"\x00"
         with pytest.raises(FrameError, match="trailing"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_truncated_header_int(self):
+    def test_truncated_header_int(self, decode):
         body = bytearray((2, 0x01))  # payload frame claiming a txn...
         body += b"\x00\x00"  # ...but only two bytes of it
         with pytest.raises(FrameError, match="truncated"):
-            decode_frame_bin_bytes(reframe(body))
+            decode(reframe(body))
 
-    def test_empty_payload_record(self):
+    def test_empty_payload_record(self, decode):
         with pytest.raises(FrameError, match="payload"):
-            decode_frame_bin_bytes(reframe(b"\x02\x00"))
+            decode(reframe(b"\x02\x00"))
+
+    def test_valid_frame_decodes_through_every_entry_point(self, decode):
+        assert decode(encode_frame_bin(REPLY_FRAME)) == REPLY_FRAME
+
+
+@json_entry
+class TestHostileJsonBodies:
+    """Bodies behind a plausible prefix that are not a JSON object."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"{nope",  # not JSON
+            b"\xff\xfe",  # not UTF-8
+            b"[1, 2, 3]",  # JSON, but not an object
+            b"7",
+            b"[" * 100_000,  # nests deeper than the parser's stack
+        ],
+        ids=["garbage", "bad-utf8", "array", "scalar", "deep-nesting"],
+    )
+    def test_only_frame_error_escapes(self, decode, body):
+        with pytest.raises(FrameError):
+            decode(reframe(body))
+
+    def test_valid_frame_decodes_through_every_entry_point(self, decode):
+        assert decode(encode_frame(REPLY_FRAME)) == REPLY_FRAME
+
+
+# ----------------------------------------------------------------------
+# Hostile payload dicts: peer input, whichever codec carried it
+# ----------------------------------------------------------------------
+
+#: Field values the schema kinds do not admit.  The JSON decoder used
+#: to coerce these (``int("7")``, ``int(True)``, ``int(7.9)``,
+#: ``str(7)``) while the binary encoder refused the same dicts.
+COERCED_PAYLOADS = [
+    {"p": "term-ack", "round": "7"},
+    {"p": "term-ack", "round": True},
+    {"p": "term-ack", "round": 7.9},
+    {"p": "term-ack", "round": -1},
+    {"p": "term-ack", "round": 2**32},
+    {"p": "term-ack", "round": None},
+    {"p": "proto", "kind": 7},
+    {"p": "proto", "kind": None},
+    {"p": "proto", "kind": ["xact"]},
+    {"p": "proto", "kind": "\ud800"},  # a lone surrogate: not UTF-8
+    {"p": "proto", "kind": "x" * 0x10000},  # past the u16 length
+    {"p": "term-move-to", "backup": "2", "round": 1, "state": "w"},
+    {"p": "term-move-to", "backup": 2, "round": 1, "state": 3},
+    {"p": "term-decision", "outcome": 1, "round": 1},
+    {"p": "term-decision", "outcome": ["commit"], "round": 1},
+    {"p": "term-decision", "outcome": "COMMIT", "round": 1},
+    {"p": "outcome-reply", "outcome": "commit", "in_doubt": 1},
+    {"p": "outcome-reply", "outcome": "commit", "in_doubt": "yes"},
+]
+
+
+class TestHostilePayloadDicts:
+    @pytest.mark.parametrize("data", COERCED_PAYLOADS, ids=repr)
+    def test_both_codecs_refuse_an_ill_typed_field(self, data):
+        with pytest.raises(FrameError):
+            decode_payload(data)
+        with pytest.raises(FrameError):
+            encode_frame_bin({"t": "payload", "txn": 1, "d": data})
+
+    @pytest.mark.parametrize(
+        "data", [7, None, "proto", ["p", "proto"], {"p": ["proto"]}, {"p": 1}, {}]
+    )
+    def test_both_codecs_refuse_a_malformed_payload_body(self, data):
+        with pytest.raises(FrameError):
+            decode_payload(data)
+        with pytest.raises(FrameError):
+            encode_frame_bin({"t": "payload", "txn": 1, "d": data})
+
+    def test_ill_typed_field_survives_the_json_frame_layer_then_fails(self):
+        # The JSON frame layer carries any object; the payload decoder
+        # is where a hostile peer's field is stopped.
+        frame = {"t": "payload", "txn": 1, "d": {"p": "term-ack", "round": "7"}}
+        (decoded,) = FrameDecoder().feed(encode_frame(frame))
+        with pytest.raises(FrameError, match="round"):
+            decode_payload(decoded["d"])
 
 
 # ----------------------------------------------------------------------
