@@ -12,9 +12,9 @@ Three contrasts are priced here in wall-clock time:
   critical path, the price of nonblocking termination.
 * **serial vs concurrent** — the commit pipeline's amortization:
   Skeen's protocols impose no cross-transaction ordering, so
-  concurrent transactions share DT-log fsyncs (group commit), socket
-  writes (frame coalescing), and metrics snapshots.  The serial
-  client pays every one of those costs alone; ``fsync_calls``
+  concurrent transactions share DT-log fsyncs (group commit) and
+  socket writes (frame coalescing).  The serial client pays every one
+  of those costs alone; ``fsync_calls``
   dropping below ``forced_writes`` is the direct observable.
 * **JSON vs binary wire codec** — the packed peer-link codec
   (``--codec bin``) cuts frame bytes ~3x and decode CPU ~2.5x for
@@ -234,7 +234,7 @@ def run_live_bench(tmp_dir) -> ExperimentResult:
             "records into shared fsyncs (fsyncs/txn < writes/txn) and "
             "the transport coalesces frames per socket write",
             "the serial (c1) row quiesces the cluster between every "
-            "transaction, so it pays each fsync, snapshot, and syscall "
+            "transaction, so it pays each fsync and syscall "
             "alone — that fixed cost is exactly what the concurrent "
             "pipeline amortizes",
             "codec json/bin selects the peer-link wire format (client "

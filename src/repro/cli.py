@@ -463,6 +463,10 @@ def _cmd_txn(args: argparse.Namespace) -> int:
             reply = asyncio.run(
                 client.query_status(args.host, args.port, args.txn, timeout=args.timeout)
             )
+        elif args.metrics:
+            reply = asyncio.run(
+                client.query_metrics(args.host, args.port, timeout=args.timeout)
+            )
         elif args.shutdown:
             asyncio.run(client.shutdown_site(args.host, args.port, timeout=args.timeout))
             print(f"site at {args.host}:{args.port} shutting down")
@@ -1322,6 +1326,11 @@ def build_parser() -> argparse.ArgumentParser:
     txn.add_argument("--txn", type=int, default=1)
     txn.add_argument(
         "--status", action="store_true", help="query instead of begin"
+    )
+    txn.add_argument(
+        "--metrics",
+        action="store_true",
+        help="print the site's live metrics snapshot instead of begin",
     )
     txn.add_argument(
         "--shutdown", action="store_true", help="ask the site to exit"

@@ -8,6 +8,8 @@ cluster harness speaks when orchestrating scenarios:
   for the gateway's own decision;
 * ``status`` — ask one site for its local view of a transaction
   (state, outcome, blocked flag, boot count);
+* ``metrics`` — ask one site for its metrics snapshot as of now (what
+  ``site-N.metrics.json`` holds a possibly older copy of);
 * ``shutdown`` — ask a site process to exit gracefully.
 
 The one-shot helpers (:func:`request`, :func:`begin_txn`, …) open a
@@ -167,6 +169,18 @@ async def query_status(
     return await request(host, port, {"t": "status", "txn": txn_id}, timeout=timeout)
 
 
+async def query_metrics(
+    host: str, port: int, timeout: float = 5.0
+) -> dict[str, Any]:
+    """One site's metrics snapshot, built when the request arrives.
+
+    A site that predates the request answers ``error``, which
+    :func:`request` raises as :class:`TransportError`.
+    """
+    reply = await request(host, port, {"t": "metrics"}, timeout=timeout)
+    return reply["snapshot"]
+
+
 async def shutdown_site(host: str, port: int, timeout: float = 5.0) -> None:
     """Ask a site process to exit gracefully."""
     await request(host, port, {"t": "shutdown"}, timeout=timeout)
@@ -179,4 +193,18 @@ async def try_status(
     try:
         return await query_status(host, port, txn_id, timeout=timeout)
     except (TransportError, LiveTimeoutError):
+        return None
+
+
+async def try_metrics(
+    host: str, port: int, timeout: float = 2.0
+) -> Optional[dict[str, Any]]:
+    """Like :func:`query_metrics` but ``None`` when the site cannot answer.
+
+    That is a site that is down, stalled past ``timeout`` (connect
+    included), or too old to know the request.
+    """
+    try:
+        return await asyncio.wait_for(query_metrics(host, port, timeout), timeout)
+    except (TransportError, LiveTimeoutError, asyncio.TimeoutError):
         return None

@@ -561,18 +561,28 @@ class ClusterHarness:
         """Wait until no site reports in-flight transactions.
 
         The gateway replies to the last client before the *participants*
-        finish publishing their own decision records, and sites write
-        their final (quiescent) metrics snapshot only once nothing is in
-        flight — so counter reads right after a bench would undercount.
+        finish publishing their own decision records, so counter reads
+        right after a bench would undercount.
+
+        Raises:
+            LiveTimeoutError: If a site still has transactions in
+                flight (or gives no snapshot) after ``timeout``.
         """
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            snapshots = [self.site_metrics(site) for site in self.ports]
-            if all(
-                s is not None and s["live"].get("inflight_txns", 0) == 0
-                for s in snapshots
-            ):
+        while True:
+            busy = {}
+            for site in self.ports:
+                snapshot = self.site_metrics(site)
+                inflight = snapshot["live"].get("inflight_txns", 0) if snapshot else None
+                if inflight != 0:
+                    busy[int(site)] = inflight
+            if not busy:
                 return
+            if time.monotonic() > deadline:
+                raise LiveTimeoutError(
+                    f"cluster did not quiesce in {timeout:g}s: "
+                    f"inflight_txns by site (None = no snapshot) {busy}"
+                )
             time.sleep(0.02)
 
     def _bench_counters(self) -> dict[str, int]:
@@ -610,8 +620,22 @@ class ClusterHarness:
         return totals
 
     def site_metrics(self, site: SiteId) -> Optional[dict[str, Any]]:
-        """The last metrics snapshot a site published (or ``None``)."""
-        path = self.config.data_dir / f"site-{int(site)}.metrics.json"
+        """One site's metrics snapshot (``None`` if there is none).
+
+        A running site is asked over its client port, so the answer is
+        never stale.  A dead, stalled or pre-``metrics`` site's last
+        published ``site-N.metrics.json`` stands in; the query is
+        bounded, so this neither hangs nor raises on such a site.
+        """
+        site = SiteId(int(site))
+        process = self.processes.get(site)
+        if process is not None and process.poll() is None:
+            snapshot = asyncio.run(
+                client.try_metrics(self.config.host, self.ports[site])
+            )
+            if snapshot is not None:
+                return snapshot
+        path = self._marker(site, "metrics.json")
         if not path.exists():
             return None
         return json.loads(path.read_text())

@@ -96,11 +96,11 @@ PRESUMPTIONS = ("none", "abort", "commit")
 #: The selectable event-loop implementations.
 LOOPS = ("asyncio", "uvloop")
 
-#: Minimum seconds between metrics-snapshot writes while transactions
-#: are in flight.  Snapshots are advisory; serializing the registry per
-#: decision was the measured throughput ceiling under concurrency, and
-#: each atomic write costs ~1ms of rename alone.  Quiescence still
-#: snapshots immediately, so an idle site's file is always current.
+#: Seconds a changed counter may wait before the on-disk metrics
+#: snapshot catches up.  The file is the post-mortem copy (live readers
+#: send a ``metrics`` request and get the registry as it is), so no
+#: decision waits on it: a dump + tmp + rename per quiescence was half
+#: of a serial commit's wall time.
 METRICS_WRITE_INTERVAL = 0.25
 
 #: Printable ASCII with no quote or backslash — a string this matches
@@ -642,16 +642,6 @@ class LiveSite:
         self.txns[txn_id] = txn
         self._undecided += 1
         self.metrics.set_gauge("inflight_txns", self._undecided)
-        if self._undecided == 1:
-            # 0 -> 1 transition: the on-disk snapshot still reads
-            # "quiescent" from the last publication, and the harness's
-            # drain check trusts that file — under WAN-delayed links a
-            # participant can sit here for milliseconds waiting on its
-            # decision frame while the harness concludes nothing is in
-            # flight and stops the cluster.  Publish the transition
-            # immediately; under load _undecided stays above zero so
-            # this never touches the batched hot path.
-            self.write_metrics()
         return txn
 
     def _txn_for_frame(self, txn_id: int, payload: Any) -> Optional[LiveTxn]:
@@ -1033,6 +1023,13 @@ class LiveSite:
                 elif kind == "status":
                     self._client_status(frame, writer)
                     await writer.drain()
+                elif kind == "metrics":
+                    writer.write(
+                        encode_frame(
+                            {"t": "metrics-reply", "snapshot": self.metrics_snapshot()}
+                        )
+                    )
+                    await writer.drain()
                 elif kind == "shutdown":
                     writer.write(encode_frame({"t": "ok"}))
                     await writer.drain()
@@ -1321,28 +1318,14 @@ class LiveSite:
                 txn.recovery.on_peer_recovered(peer)
 
     def _metrics_changed(self) -> None:
-        """Coalesce snapshot writes off the decision hot path.
+        """Arm the trailing snapshot write, if none is pending.
 
-        Serializing the full registry per decision was the measured
-        throughput ceiling under concurrency (a JSON dump + rename per
-        txn per site).  Quiescence writes immediately — the harness
-        reads snapshots between benchmark runs and after scenarios, when
-        nothing is in flight — while under load a single deferred timer
-        batches however many decisions land within the interval.
+        One deferred write covers however many decisions land within
+        ``METRICS_WRITE_INTERVAL``; nothing on the decision path touches
+        the file.
         """
-        if self._undecided == 0:
-            if self._metrics_timer is not None:
-                self._metrics_timer.cancel()
-                self._metrics_timer = None
-            self.write_metrics()
-            return
         if self._metrics_timer is None:
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:  # Sync-mode use outside a loop (tests).
-                self.write_metrics()
-                return
-            self._metrics_timer = loop.call_later(
+            self._metrics_timer = asyncio.get_running_loop().call_later(
                 METRICS_WRITE_INTERVAL, self._metrics_timer_fired
             )
 
@@ -1350,17 +1333,11 @@ class LiveSite:
         self._metrics_timer = None
         self.write_metrics()
 
-    def write_metrics(self) -> None:
-        """Atomically publish the metrics snapshot (tmp + rename).
+    def metrics_snapshot(self) -> dict[str, Any]:
+        """The registry plus this site's live counters, as of now.
 
-        Written on boot, quiescence, pause, blocked txns, and exit —
-        and at most every ``METRICS_WRITE_INTERVAL`` while decisions
-        are streaming — so a site that is about to be ``kill -9``-ed
-        still leaves a consistent snapshot.  No fsync here: page-cache
-        contents survive SIGKILL (only an OS crash loses them, which is
-        not this runtime's threat model), and the snapshot is advisory
-        observability, not the DT log — paying ~an fsync per decision
-        on the hot path bought nothing.
+        What a ``metrics`` request is answered with and what
+        :meth:`write_metrics` puts on disk.
         """
         snapshot = self.metrics.to_dict()
         snapshot["live"] = {
@@ -1385,7 +1362,22 @@ class LiveSite:
             "chaos_delays": self.transport.chaos_delays,
             "suspected": sorted(int(p) for p in self.transport.suspected),
         }
-        atomic_write_json(self._metrics_path, snapshot)
+        return snapshot
+
+    def write_metrics(self) -> None:
+        """Atomically publish the metrics snapshot (tmp + rename).
+
+        The file is the post-mortem copy — what ``repro audit`` and a
+        harness find after the process is gone; a live site is asked
+        with a ``metrics`` request instead.  Written on boot, pause,
+        blocked txns and exit, and ``METRICS_WRITE_INTERVAL`` after a
+        decision changed the counters, so a site that is about to be
+        ``kill -9``-ed still leaves a consistent snapshot.  No fsync
+        here: page-cache contents survive SIGKILL (only an OS crash
+        loses them, which is not this runtime's threat model), and the
+        snapshot is advisory observability, not the DT log.
+        """
+        atomic_write_json(self._metrics_path, self.metrics_snapshot())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

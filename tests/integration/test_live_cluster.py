@@ -8,6 +8,7 @@ sleep-based race windows) and finishes in a few seconds.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -133,6 +134,40 @@ def test_metrics_snapshots_published(make_harness):
     assert snapshot["live"]["trace_dropped"] == 0
     counters = snapshot.get("counters", {})
     assert any(key.startswith("txns_total") for key in counters)
+
+
+def test_site_metrics_is_live_while_running_and_the_file_after_kill9(make_harness):
+    """The stale-snapshot class, closed structurally.
+
+    The coordinator freezes after its first ``commit`` send, so site 3
+    holds a voted, undecided transaction and publishes nothing.  Its
+    file still holds the boot snapshot (zero in flight) — a reader of
+    the file would call the cluster quiescent; ``site_metrics`` asks the
+    site.  Once the coordinator is SIGKILLed the file its pause wrote is
+    all there is, and is what ``site_metrics`` returns.
+    """
+    harness = make_harness("2pc-central")
+    coordinator, waiting = SiteId(1), SiteId(3)
+    harness.start(pause_after={coordinator: "commit:1"})
+    harness.begin(1, gateway=SiteId(2), wait=False)
+    harness.wait_paused(coordinator)
+
+    def on_disk(site):
+        path = harness.config.data_dir / f"site-{int(site)}.metrics.json"
+        return json.loads(path.read_text())
+
+    assert harness.status(1, waiting)["outcome"] == "undecided"
+    assert on_disk(waiting)["live"]["inflight_txns"] == 0
+    assert harness.site_metrics(waiting)["live"]["inflight_txns"] >= 1
+
+    harness.kill(coordinator)
+    snapshot = harness.site_metrics(coordinator)
+    assert snapshot == on_disk(coordinator)
+    assert snapshot["live"]["site"] == 1
+    assert snapshot["live"]["forced_writes"] >= 2  # boot record + commit
+    assert any(
+        key.startswith("proto_frames_sent_total") for key in snapshot["counters"]
+    )
 
 
 def test_decided_reply_carries_stage_breakdown(make_harness):
