@@ -260,9 +260,29 @@ class ClusterHarness:
 
     def stop(self) -> None:
         """Tear everything down (idempotent; used by ``__exit__``)."""
-        for process in self.processes.values():
-            if process.poll() is None:
-                process.terminate()
+        # Every site must know it is stopping before any of them closes
+        # a socket: a site still serving takes a stopped peer's refused
+        # dial for the crash it looks like and runs the termination
+        # protocol, a racy tail on every trace.  So freeze them all,
+        # and only once every thread of every site has stopped queue
+        # SIGTERM: nobody is woken for it, and on SIGCONT the first
+        # thread of a site to run again takes it before anything else.
+        running = [p for p in self.processes.values() if p.poll() is None]
+        for process in running:
+            process.send_signal(signal.SIGSTOP)
+
+        def frozen(process: subprocess.Popen) -> bool:
+            if process.poll() is not None:
+                return True
+            flags = os.WSTOPPED | os.WNOHANG | os.WNOWAIT
+            return os.waitid(os.P_PID, process.pid, flags) is not None
+
+        frozen_by = time.monotonic() + 1
+        while not all(map(frozen, running)) and time.monotonic() < frozen_by:
+            time.sleep(0.0005)
+        for sig in (signal.SIGTERM, signal.SIGCONT):
+            for process in running:
+                process.send_signal(sig)
         deadline = time.monotonic() + 5
         for process in self.processes.values():
             remaining = max(0.1, deadline - time.monotonic())

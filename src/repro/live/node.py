@@ -508,6 +508,7 @@ class LiveSite:
         self.store.on_batch = self._on_fsync_batch
         self.store.on_durable = self._publish_durable
         self.metrics = MetricsRegistry()
+        self.shutdown = asyncio.Event()
         self.transport = Transport(
             site=config.site,
             host=config.host,
@@ -519,6 +520,7 @@ class LiveSite:
             on_suspect=self._on_suspect,
             on_recover=self._on_recover,
             on_restart=self._on_peer_restart,
+            stopping=self.shutdown.is_set,
             boot=self.store.boot_count,
             hb_interval=config.hb_interval,
             suspect_after=config.suspect_after,
@@ -562,7 +564,6 @@ class LiveSite:
         self._metrics_path = config.data_dir / f"site-{config.site}.metrics.json"
         self._ready_path = config.data_dir / f"site-{config.site}.ready"
         self._paused_path = config.data_dir / f"site-{config.site}.paused"
-        self.shutdown = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
 
     # ------------------------------------------------------------------
@@ -928,14 +929,14 @@ class LiveSite:
     # ------------------------------------------------------------------
 
     def _on_suspect(self, peer: SiteId) -> None:
+        cause = self.transport.suspect_cause[peer]
+        self.metrics.inc("suspicions_total", cause=cause)
         local_ro = self.config.site in self.spec.read_only_sites
         for txn in list(self.txns.values()):
             if peer not in self.spec.automata:
                 continue
             txn.known_failed.add(peer)
-            txn.trace(
-                "site.peer_failed", f"suspecting site {peer} (heartbeat timeout)"
-            )
+            txn.trace("site.peer_failed", f"suspecting site {peer} ({cause})")
             if not txn.ever_crashed and not local_ro:
                 txn.termination.on_peer_failure(peer)
 

@@ -9,15 +9,25 @@ a peer pair therefore uses its own TCP connection, which keeps the
 dialing rule trivial (everybody dials everybody) and reconnection
 independent per direction.
 
-Failure detection is heartbeat-timeout suspicion: every peer's
-outgoing connection carries periodic ``hb`` frames, and a peer from
-whom nothing (heartbeat or otherwise) has arrived for ``suspect_after``
-seconds is *suspected*.  Unlike the simulator's reliable detector this
-one can be wrong — which is the point: the live runtime demonstrates
-the protocols under the detector the paper actually assumes away.
-Any frame from a suspected peer clears the suspicion and fires the
-recovery callback, which is how survivors notice a ``kill -9``-ed site
-returning.
+Failure detection has two evidence sources feeding one ``_suspect``:
+
+* **Silence** — every peer's outgoing connection carries periodic
+  ``hb`` frames, and a peer from whom nothing (heartbeat or otherwise)
+  has arrived for ``suspect_after`` seconds is *suspected*.  Unlike the
+  simulator's reliable detector this one can be wrong — which is the
+  point: the live runtime demonstrates the protocols under the
+  detector the paper actually assumes away.  It is the only path for
+  partitions, frozen or hung processes and dead hosts.
+* **A refused dial** — when a peer's inbound connection ends, the
+  peer's listen address is probed.  ``ECONNREFUSED`` means no process
+  holds that port any more, which under crash-stop cannot be wrong, so
+  the peer is suspected at once: the kernel *reports* a crashed
+  process, as the paper's network does.  Any other probe outcome
+  proves nothing and is left to the timer.
+
+A frame from a suspected peer that reached the socket after the
+suspicion was raised clears it and fires the recovery callback, which
+is how survivors notice a ``kill -9``-ed site returning.
 
 Outgoing frames are buffered per peer and survive reconnects: a frame
 is only dropped from the outbox after the socket write for it drained.
@@ -112,8 +122,12 @@ class Transport:
         on_restart: Called when a peer's hello carries a higher boot
             incarnation than previously seen — the peer crashed and
             came back, even if it beat the heartbeat detector.
+        stopping: Whether this site has been told to stop.  From then
+            on connections ending are its own doing, so it neither
+            probes nor suspects.
         boot: This site's own boot incarnation, advertised in hellos.
-        hb_interval: Heartbeat period, seconds.
+        hb_interval: Heartbeat period, seconds; also how long a probe
+            keeps re-dialling a peer whose listener resets it.
         suspect_after: Silence threshold before suspecting a peer.
         trace: Trace sink ``(category, detail, **data)``.
         wait_durable: Optional durability gate — frames queued with a
@@ -138,6 +152,7 @@ class Transport:
         on_suspect: Callable[[SiteId], None],
         on_recover: Callable[[SiteId], None],
         on_restart: Optional[Callable[[SiteId], None]] = None,
+        stopping: Callable[[], bool] = lambda: False,
         boot: int = 1,
         hb_interval: float = 0.25,
         suspect_after: float = 1.5,
@@ -170,16 +185,22 @@ class Transport:
         self._on_suspect = on_suspect
         self._on_recover = on_recover
         self._on_restart = on_restart
+        self._stopping = stopping
         self._trace = trace
         self._wait_durable = wait_durable
 
         self._server: Optional[asyncio.base_events.Server] = None
-        self._tasks: list[asyncio.Task] = []
+        self._tasks: set[asyncio.Task] = set()
         #: Per-peer queue of (encoded frame, durability-barrier LSN).
         self._outbox: dict[SiteId, collections.deque[tuple[bytes, int]]] = {
             peer: collections.deque() for peer in peers
         }
         self._outbox_ready: dict[SiteId, asyncio.Event] = {}
+        #: Set by a peer's inbound hello: the peer is up *now*, so its
+        #: sender's reconnect back-off has nothing left to wait for.
+        self._peer_hello: dict[SiteId, asyncio.Event] = {
+            peer: asyncio.Event() for peer in peers
+        }
         self._writers: dict[SiteId, asyncio.StreamWriter] = {}
         #: Wall time of the last frame seen from each peer (None: never).
         self.last_seen: dict[SiteId, Optional[float]] = {p: None for p in peers}
@@ -189,6 +210,9 @@ class Transport:
         #: clear a suspicion; a long-delayed frame stamped before it is
         #: stale and proves nothing about the peer now.
         self.suspected_at: dict[SiteId, float] = {}
+        #: What raised each current suspicion: ``"silence"`` (heartbeat
+        #: timer) or ``"refused"`` (a dial to the peer was refused).
+        self.suspect_cause: dict[SiteId, str] = {}
         #: Flush calls waiting (event-driven) for all outboxes to drain.
         self._flush_waiters: list[asyncio.Future] = []
         #: Receive-side chaos: per-peer FIFO delivery queues and the
@@ -236,24 +260,26 @@ class Transport:
             self._outbox_ready[peer] = asyncio.Event()
             if self._outbox[peer]:
                 self._outbox_ready[peer].set()
-            self._tasks.append(asyncio.create_task(self._peer_sender(peer)))
+            self._tasks.add(asyncio.create_task(self._peer_sender(peer)))
             if self.chaos is not None:
                 queue: asyncio.Queue = asyncio.Queue()
                 self._chaos_queues[peer] = queue
-                self._tasks.append(
+                self._tasks.add(
                     asyncio.create_task(self._chaos_delivery_loop(peer, queue))
                 )
-        self._tasks.append(asyncio.create_task(self._heartbeat_loop()))
-        self._tasks.append(asyncio.create_task(self._suspicion_loop()))
+        self._tasks.add(asyncio.create_task(self._heartbeat_loop()))
+        self._tasks.add(asyncio.create_task(self._suspicion_loop()))
 
     async def stop(self) -> None:
         """Cancel tasks and close every connection (idempotent)."""
         if self._stopped:
             return
         self._stopped = True
-        for task in self._tasks:
+        # A copy: a finished probe discards itself from ``_tasks``.
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
-        for task in self._tasks:
+        for task in tasks:
             try:
                 await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
@@ -379,8 +405,10 @@ class Transport:
             try:
                 reader, writer = await asyncio.open_connection(host, port)
             except OSError:
-                await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, RECONNECT_MAX)
+                if await self._back_off(peer, backoff):
+                    backoff = RECONNECT_MIN
+                else:
+                    backoff = min(backoff * 2, RECONNECT_MAX)
                 continue
             set_nodelay(writer)
             backoff = RECONNECT_MIN
@@ -404,10 +432,13 @@ class Transport:
                     )
                 )
                 await writer.drain()
-                while True:
+                # Until the failure detector drops this writer (the
+                # peer's process is gone; dial its next incarnation).
+                while not writer.is_closing():
                     if not outbox:
                         ready.clear()
                         await ready.wait()
+                        continue
                     # Collect every queued frame whose durability
                     # barrier is satisfied (awaiting the log where
                     # needed) and write them in ONE syscall — frames
@@ -439,7 +470,23 @@ class Transport:
                 if self._writers.get(peer) is writer:
                     del self._writers[peer]
                 writer.close()
-            await asyncio.sleep(backoff)
+            await self._back_off(peer, backoff)
+
+    async def _back_off(self, peer: SiteId, delay: float) -> bool:
+        """Wait out a reconnect back-off; True if a hello cut it short.
+
+        A hello arriving from ``peer`` means it is listening again
+        (everybody dials everybody at boot), so a survivor blocked on a
+        restarted coordinator rejoins it at once instead of wherever the
+        back-off happened to stand.
+        """
+        hello = self._peer_hello[peer]
+        hello.clear()
+        try:
+            await asyncio.wait_for(hello.wait(), delay)
+        except asyncio.TimeoutError:
+            return False
+        return True
 
     async def _heartbeat_loop(self) -> None:
         while True:
@@ -459,21 +506,107 @@ class Transport:
         while True:
             now = self.clock.now()
             for peer, seen in self.last_seen.items():
-                if seen is None or peer in self.suspected:
-                    # Never-seen peers are not suspected: suspicion
-                    # starts only after first contact, so a slow-booting
-                    # cluster does not open with spurious terminations.
-                    continue
-                if now - seen > self.suspect_after:
-                    self.suspected.add(peer)
-                    self.suspected_at[peer] = now
-                    self._trace(
-                        "live.suspect",
+                # Never-seen peers are not suspected: suspicion starts
+                # only after first contact, so a slow-booting cluster
+                # does not open with spurious terminations.
+                if seen is not None and now - seen > self.suspect_after:
+                    self._suspect(
+                        peer,
+                        "silence",
                         f"no frames from site {peer} for {now - seen:.2f}s",
-                        peer=int(peer),
                     )
-                    self._on_suspect(peer)
             await asyncio.sleep(interval)
+
+    def _suspect(self, peer: SiteId, cause: str, detail: str) -> None:
+        """Raise a suspicion of ``peer`` — the one path both detectors take."""
+        if peer in self.suspected or self._is_stopping():
+            return
+        self.suspected.add(peer)
+        self.suspected_at[peer] = self.clock.now()
+        self.suspect_cause[peer] = cause
+        self._trace("live.suspect", detail, peer=int(peer), cause=cause)
+        self._on_suspect(peer)
+
+    def _is_stopping(self) -> bool:
+        return self._stopped or self._stopping()
+
+    def _connection_ended(self, peer: SiteId) -> None:
+        """An inbound connection from ``peer`` ended: find out why."""
+        if peer in self.suspected or self._is_stopping():
+            return
+        task = asyncio.create_task(self._probe(peer))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _probe(self, peer: SiteId) -> None:
+        """Ask the kernel whether ``peer``'s process is gone.
+
+        A dial to its listen address that is *refused* is accurate
+        evidence under crash-stop: nothing holds the port, so the
+        process is gone.  A dial that is accepted and then reset (or
+        closed) met a dying process whose listener the kernel had not
+        torn down yet, so it is repeated, for at most ``hb_interval``.
+        Accepted and held, a time-out or an unreachable address prove
+        nothing — the peer may merely have reconnected — and are left
+        to the heartbeat timer.
+        """
+        host, port = self.peers[peer]
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.hb_interval
+        outcome = "reset"
+        while (
+            outcome == "reset"
+            and loop.time() < deadline
+            and not self._is_stopping()
+        ):
+            outcome = await self._dial(host, port, deadline)
+            self._trace(
+                "live.probe",
+                f"dial to site {peer}: {outcome}",
+                peer=int(peer),
+                outcome=outcome,
+            )
+        if outcome == "refused":
+            self._drop_writer(peer)
+            self._suspect(peer, "refused", f"site {peer} refuses connections")
+
+    @staticmethod
+    async def _dial(host: str, port: int, deadline: float) -> str:
+        """One probe dial, over by ``deadline`` (loop time).
+
+        The probe never writes: the peer's ``_accept`` sees a connection
+        that closes before its first frame.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, port), deadline - loop.time()
+            )
+        except ConnectionRefusedError:
+            return "refused"
+        except (OSError, asyncio.TimeoutError):
+            return "unreachable"
+        try:
+            held = await asyncio.wait_for(reader.read(1), deadline - loop.time())
+        except asyncio.TimeoutError:
+            return "alive"
+        except ConnectionError:
+            return "reset"
+        finally:
+            writer.close()
+        return "alive" if held else "reset"
+
+    def _drop_writer(self, peer: SiteId) -> None:
+        """Close the outgoing connection to a peer whose process is gone.
+
+        The sender would otherwise find out on its second heartbeat
+        write; peek-then-pop keeps the queued frames for the next
+        connection.
+        """
+        writer = self._writers.pop(peer, None)
+        if writer is not None:
+            writer.close()
+            self._outbox_ready[peer].set()
 
     def _saw_peer(self, peer: SiteId, stamp: Optional[float] = None) -> None:
         """Credit liveness evidence stamped at ``stamp`` (default: now).
@@ -503,6 +636,7 @@ class Transport:
                 return
             self.suspected.discard(peer)
             self.suspected_at.pop(peer, None)
+            self.suspect_cause.pop(peer, None)
             self._trace(
                 "live.unsuspect", f"site {peer} is back", peer=int(peer)
             )
@@ -615,6 +749,7 @@ class Transport:
         # with "undecided".
         reconnect = self._hello_count[peer] > 0
         self._hello_count[peer] += 1
+        self._peer_hello[peer].set()
         suspected_before = peer in self.suspected
         self._saw_peer(peer)  # Fires on_recover when it was suspected.
         if reconnect and not suspected_before:
@@ -634,7 +769,7 @@ class Transport:
             while True:
                 data = await reader.read(65536)
                 if not data:
-                    return
+                    break
                 frames = decoder.feed(data)
                 if decoder.hwm > self.decoder_hwm:
                     self.decoder_hwm = decoder.hwm
@@ -668,12 +803,11 @@ class Transport:
                     )
                     self._chaos_due[peer] = due
                     queue.put_nowait((due, now, frame))
-        except TransportError:
-            return
-        except ConnectionError:
-            return
+        except (TransportError, ConnectionError):
+            pass
         finally:
             writer.close()
+        self._connection_ended(peer)
 
     async def _chaos_delivery_loop(
         self,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.errors import EXIT_OK
 from repro.live.audit import audit_data_dir
 from repro.live.client import ClientSession
 from repro.live.cluster import (
+    PAUSE_POINTS,
     ClusterConfig,
     ClusterHarness,
     kill_coordinator_scenario,
@@ -116,6 +118,68 @@ def test_2pc_blocks_on_coordinator_kill9(make_harness):
     assert result.survivors_blocked is True
     assert set(result.final_outcomes.values()) == {"abort"}
     assert result.coordinator_boot == 2
+
+
+@pytest.mark.parametrize(
+    "spec_name, presumption, vote3, verdict",
+    [
+        ("3pc-central", "none", "yes", "commit"),  # nonblocking: decide alone
+        ("2pc-central", "none", "yes", "blocked"),  # the paper's point
+        ("2pc-central", "abort", "no", "abort"),  # yes-voter asks the no-voter
+    ],
+)
+def test_kill9_is_reported_not_waited_for(
+    tmp_path, spec_name, presumption, vote3, verdict
+):
+    """A crashed coordinator's survivors start termination on the kernel's
+    report (its dial is refused), not on ``suspect_after`` of silence —
+    here 5 s, so a verdict inside 1 s can only have come the fast way."""
+    config = ClusterConfig(
+        spec_name=spec_name,
+        data_dir=tmp_path,
+        presumption=presumption,
+        suspect_after=5.0,
+    )
+    coordinator, survivors = SiteId(1), (SiteId(2), SiteId(3))
+    with ClusterHarness(config) as harness:
+        harness.spawn(coordinator, pause_after=f"{PAUSE_POINTS[spec_name]}:2")
+        harness.spawn(survivors[0])
+        harness.spawn(survivors[1], vote=vote3)
+        harness.wait_all_ready()
+        harness.begin(1, gateway=survivors[0], wait=False)
+        harness.wait_paused(coordinator)
+        harness.kill(coordinator)
+        killed = time.monotonic()
+
+        def settled(views):
+            return all(
+                views[s] is not None
+                and (views[s]["blocked"] or views[s]["outcome"] in ("commit", "abort"))
+                for s in survivors
+            )
+
+        views = harness.wait_outcomes(1, settled, 10.0, "the survivors' verdict")
+        assert time.monotonic() - killed < 1.0
+        for site in survivors:
+            got = "blocked" if views[site]["blocked"] else views[site]["outcome"]
+            assert got == verdict
+            counters = harness.site_metrics(site)["counters"]
+            assert counters["suspicions_total{cause=refused}"] == 1
+            assert "suspicions_total{cause=silence}" not in counters
+        harness.spawn(coordinator)
+        final = "abort" if verdict == "blocked" else verdict
+        harness.wait_outcomes(
+            1,
+            lambda views: all(
+                views[s] is not None and views[s]["outcome"] == final
+                for s in survivors
+            ),
+            10.0,
+            "the survivors deciding once the coordinator is back",
+        )
+        harness.audit_atomicity(1)
+    audit = audit_data_dir(config.data_dir)
+    assert audit.ok(), audit.violations
 
 
 def test_metrics_snapshots_published(make_harness):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import json
+import logging
 import time
 
 import pytest
@@ -157,6 +159,37 @@ def test_snapshot_writes_follow_the_clock_not_the_transaction_count(
     # The bound must separate the two designs: two writes per transaction
     # per site (one at 0 -> 1 in flight, one at 1 -> 0) exceed it.
     assert allowed < 2 * n_sites * txns
+
+
+def test_snapshot_counts_suspicions_by_cause_and_teardown_is_clean(harness, caplog):
+    """Sites stopped one after the other in one loop: whoever still serves
+    takes the stopped site for the crash it looks like (its dial is
+    refused), and the detector's tasks end with their site."""
+    refused = "suspicions_total{cause=refused}"
+
+    async def run():
+        async with serving(harness) as sites:
+            async with ClientSession(HOST, harness.ports[SiteId(1)]) as session:
+                assert (await session.begin_txn(1))["outcome"] == "commit"
+            quiet = [site.metrics_snapshot()["counters"] for site in sites]
+            await sites[0].stop()
+            survivors = sites[1:]
+            while not all(SiteId(1) in s.transport.suspected for s in survivors):
+                await asyncio.sleep(0.005)
+            counted = [s.metrics_snapshot() for s in survivors]
+        strays = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
+        return quiet, counted, strays
+
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        quiet, counted, strays = asyncio.run(run())
+        gc.collect()
+    # Nobody failed while all three served: no suspicion of either kind.
+    assert not any(key.startswith("suspicions_total") for c in quiet for key in c)
+    for snapshot in counted:
+        assert snapshot["counters"][refused] == 1
+        assert snapshot["live"]["suspected"] == [1]
+    assert strays == []
+    assert [r.getMessage() for r in caplog.records] == []
 
 
 def test_site_metrics_asks_a_running_site(harness):
